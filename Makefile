@@ -17,9 +17,12 @@ vet:
 
 # The executor and interpreter are the concurrency-heavy packages, and
 # core's list regions run interpreter clones that share the session's
-# Stats, breaker ledger, and tracer; all three must stay race-clean.
+# Stats, breaker ledger, profile, and tracer; all must stay race-clean,
+# as must the planner, cost model, storage model, cluster scheduler, and
+# incremental runner those regions call into.
 race:
-	$(GO) test -race ./internal/exec/... ./internal/interp/... ./internal/core/... ./internal/trace/...
+	$(GO) test -race ./internal/exec/... ./internal/interp/... ./internal/core/... ./internal/trace/... \
+		./internal/rewrite/... ./internal/cost/... ./internal/storage/... ./internal/cluster/... ./internal/incr/...
 
 # The fault suite: injected failures, panics, stalls, and cancellations
 # at every plan position must tear down cleanly, heal via supervised

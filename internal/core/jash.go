@@ -187,6 +187,13 @@ type Shell struct {
 	// write, so no lock is needed.
 	cmdSpan *trace.Span
 
+	// ineligible memoizes the pipelines the static check refused (see
+	// staticallyIneligible), so a loop re-offering one is declined without
+	// re-analysis. It holds only verdicts that no shell state and no mode
+	// can change, is cleared at every top-level command, and is reset when
+	// it reaches ineligibleMemoLimit entries. Guarded by mu.
+	ineligible map[*syntax.Pipeline]struct{}
+
 	// mu serializes the session state the observer mutates — Stats, the
 	// breaker ledger, the profile's burst-credit balance, and the trace
 	// stream. Statements of a concurrent list region run on interpreter
@@ -196,6 +203,11 @@ type Shell struct {
 
 	Stats Stats
 }
+
+// ineligibleMemoLimit bounds the static-ineligibility memo: a command that
+// keeps parsing fresh pipelines (eval in a loop) resets the memo instead
+// of growing it.
+const ineligibleMemoLimit = 4096
 
 // breakerState is one region's entry in the circuit breaker's ledger.
 type breakerState struct {
@@ -324,6 +336,9 @@ func (s *Shell) Run(src string) (int, error) {
 			csp.SetStr("text", syntax.PrintStmts(stmts))
 		}
 		s.cmdSpan = csp
+		s.mu.Lock()
+		clear(s.ineligible)
+		s.mu.Unlock()
 		status, err = s.runStmtsTop(stmts)
 		s.cmdSpan = nil
 		csp.SetInt("status", int64(status))
@@ -368,6 +383,13 @@ func (s *Shell) runDeadlineTraps() {
 // possibly a subshell or command-substitution clone — whose state and
 // streams this decision must use.
 func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
+	// A pipeline the static check already refused is declined with one
+	// lock round-trip: no expansion, printing or graph building. A traced
+	// session takes the path below, which consults the same memo, so its
+	// spans and counters stay as they were.
+	if s.Tracer == nil && s.declinedBefore(st.AndOr.First) {
+		return 0, false
+	}
 	if s.Mode == ModeBash {
 		// Baseline still charges modelled time for eligible pipelines so
 		// the harness can compare systems on equal footing.
@@ -447,6 +469,12 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 		tr.Metrics().Counter(trace.MetricPlansInterp).Add(1)
 		return 0, false
 	}
+	// The planner's what-if estimates read the device credit balances that
+	// other list-region workers settle under mu, so it plans on a copy.
+	var snapshot *cost.Profile
+	if s.Mode == ModeJash {
+		snapshot = s.Profile.Clone()
+	}
 	s.mu.Unlock()
 	psp := root.Child("plan")
 	var chosen *dfg.Graph
@@ -456,7 +484,7 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 	case ModePaSh:
 		chosen, dec, err = rewrite.PaShPlan(graph, s.Profile.Cores)
 	default:
-		chosen, dec, err = rewrite.JashPlan(graph, facts, s.Profile)
+		chosen, dec, err = rewrite.JashPlan(graph, facts, snapshot)
 	}
 	if err != nil {
 		psp.SetStr("verdict", "declined").SetStr("reason", err.Error())
@@ -633,6 +661,18 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 	return status, true
 }
 
+// declinedBefore reports whether the pipeline is in the static
+// ineligibility memo, counting a hit as one interpreted pipeline.
+func (s *Shell) declinedBefore(pl *syntax.Pipeline) bool {
+	s.mu.Lock()
+	_, hit := s.ineligible[pl]
+	if hit && s.Mode != ModeBash {
+		s.Stats.Interpreted++
+	}
+	s.mu.Unlock()
+	return hit
+}
+
 // bumpInterpreted counts one pipeline left to the interpreter.
 func (s *Shell) bumpInterpreted() {
 	s.mu.Lock()
@@ -762,71 +802,192 @@ func (s *Shell) recordLocked(d Decision) int {
 // words that depend on any shell state disqualify the pipeline.
 func (s *Shell) analyze(in *interp.Interp, st *syntax.Stmt, staticOnly bool) (*dfg.Graph, cost.Inputs, string, bool) {
 	pl := st.AndOr.First
-	if st.Background || pl.Negated || len(st.AndOr.Rest) > 0 {
+	if st.Background || pl.Negated || len(st.AndOr.Rest) > 0 || s.staticallyIneligible(pl) {
 		return nil, cost.Inputs{}, "", false
 	}
-	text := syntax.PrintStmts([]*syntax.Stmt{st})
+	graph, facts, ok := s.analyzeDynamic(in, pl, staticOnly)
+	if !ok {
+		return nil, cost.Inputs{}, "", false
+	}
+	return graph, facts, syntax.PrintStmts([]*syntax.Stmt{st}), true
+}
+
+// staticallyIneligible reports whether the pipeline can never be compiled,
+// whatever the shell state: its verdict depends only on the AST and the
+// spec library, so a refusal is memoized per pipeline node.
+func (s *Shell) staticallyIneligible(pl *syntax.Pipeline) bool {
+	s.mu.Lock()
+	_, hit := s.ineligible[pl]
+	s.mu.Unlock()
+	if hit {
+		return true
+	}
+	if !ineligibleShape(pl) && !s.unknownStaticName(pl) {
+		return false
+	}
+	s.mu.Lock()
+	if s.ineligible == nil {
+		s.ineligible = map[*syntax.Pipeline]struct{}{}
+	} else if len(s.ineligible) >= ineligibleMemoLimit {
+		clear(s.ineligible)
+	}
+	s.ineligible[pl] = struct{}{}
+	s.mu.Unlock()
+	return true
+}
+
+// Roles a redirection can play in a dataflow pipeline.
+const (
+	redirOther  = iota // unsupported: interpret the pipeline
+	redirStdin         // < on the first stage
+	redirStdout        // > or >> on the last stage
+)
+
+func redirRole(r *syntax.Redirect, stage, stages int) int {
+	switch {
+	case stage == 0 && r.Op == syntax.RedirIn && r.DefaultFD() == 0:
+		return redirStdin
+	case stage == stages-1 && (r.Op == syntax.RedirOut || r.Op == syntax.RedirAppend) && r.DefaultFD() == 1:
+		return redirStdout
+	}
+	return redirOther
+}
+
+// ineligibleShape reports the syntactic refusals: a stage that is not a
+// simple command, has assignments or no words, has a redirection other
+// than stdin on the first stage or stdout on the last, or has a word
+// whose expansion could change shell state (B2).
+func ineligibleShape(pl *syntax.Pipeline) bool {
+	for i, cmd := range pl.Cmds {
+		sc, ok := cmd.(*syntax.SimpleCommand)
+		if !ok || len(sc.Assigns) > 0 || len(sc.Args) == 0 {
+			return true
+		}
+		for _, r := range sc.Redirections {
+			if redirRole(r, i, len(pl.Cmds)) == redirOther ||
+				!expand.AnalyzeWord(r.Target).SafeToExpandEarly() {
+				return true
+			}
+		}
+		if !expand.AnalyzeWords(sc.Args).SafeToExpandEarly() {
+			return true
+		}
+	}
+	return false
+}
+
+// unknownStaticName reports a stage whose command word can only expand
+// to a name missing from the spec library, in every shell state, so
+// dfg.FromPipeline would refuse it on every run. Call it only on
+// pipelines ineligibleShape accepts.
+func (s *Shell) unknownStaticName(pl *syntax.Pipeline) bool {
+	for _, cmd := range pl.Cmds {
+		name, unquoted, ok := staticName(cmd.(*syntax.SimpleCommand).Args[0])
+		if ok && !s.libHas(name, unquoted) {
+			return true
+		}
+	}
+	return false
+}
+
+// staticName returns the text of a one-part literal command word whose
+// expansion no state can change except by field splitting, and whether
+// the text is unquoted: the expander splits unquoted text on IFS, so its
+// first field may be any prefix of it. Unquoted words with a backslash,
+// a leading ~ (HOME) or glob characters that can match a file ('*', '?',
+// or a '[' closed by a later ']' — an unclosed '[' matches nothing) are
+// refused.
+func staticName(w *syntax.Word) (name string, unquoted, ok bool) {
+	if len(w.Parts) != 1 || !w.IsStatic() {
+		return "", false, false
+	}
+	switch p := w.Parts[0].(type) {
+	case *syntax.SglQuoted:
+		return p.Value, false, true
+	case *syntax.DblQuoted:
+		v := w.StaticValue()
+		return v, false, !strings.ContainsRune(v, '\\')
+	case *syntax.Lit:
+		v := p.Value
+		if strings.ContainsAny(v, `\*?`) || strings.HasPrefix(v, "~") {
+			return "", false, false
+		}
+		if i := strings.IndexByte(v, '['); i >= 0 && strings.IndexByte(v[i:], ']') >= 0 {
+			return "", false, false
+		}
+		return v, true, true
+	}
+	return "", false, false
+}
+
+// libHas reports whether the library knows name or, when prefixes is set,
+// any non-empty prefix of it.
+func (s *Shell) libHas(name string, prefixes bool) bool {
+	for k := len(name); k > 0; k-- {
+		if _, ok := s.Lib.Lookup(name[:k]); ok {
+			return true
+		}
+		if !prefixes {
+			break
+		}
+	}
+	return false
+}
+
+// analyzeDynamic is the part of the analysis that reads shell state: it
+// expands the words, builds the graph and probes its input files. The
+// pipeline must already have passed the static check.
+func (s *Shell) analyzeDynamic(in *interp.Interp, pl *syntax.Pipeline, staticOnly bool) (*dfg.Graph, cost.Inputs, bool) {
 	var binding dfg.Binding
 	var argvs [][]string
 	x := safeExpander(in)
 	for i, cmd := range pl.Cmds {
-		sc, ok := cmd.(*syntax.SimpleCommand)
-		if !ok {
-			return nil, cost.Inputs{}, "", false
-		}
-		if len(sc.Assigns) > 0 || len(sc.Args) == 0 {
-			return nil, cost.Inputs{}, "", false
-		}
+		sc := cmd.(*syntax.SimpleCommand)
 		// Redirections: stdin on the first stage, stdout on the last.
 		for _, r := range sc.Redirections {
-			switch {
-			case i == 0 && r.Op == syntax.RedirIn && r.DefaultFD() == 0:
-				target, ok := safeString(x, r.Target)
-				if !ok {
-					return nil, cost.Inputs{}, "", false
-				}
+			target, err := x.ExpandString(r.Target)
+			if err != nil {
+				return nil, cost.Inputs{}, false
+			}
+			if redirRole(r, i, len(pl.Cmds)) == redirStdin {
 				binding.StdinFile = absPath(in.Dir, target)
-			case i == len(pl.Cmds)-1 && (r.Op == syntax.RedirOut || r.Op == syntax.RedirAppend) && r.DefaultFD() == 1:
-				target, ok := safeString(x, r.Target)
-				if !ok {
-					return nil, cost.Inputs{}, "", false
-				}
+			} else {
 				binding.StdoutFile = absPath(in.Dir, target)
 				binding.StdoutAppend = r.Op == syntax.RedirAppend
-			default:
-				return nil, cost.Inputs{}, "", false
 			}
-		}
-		// Every word must be safe to expand ahead of execution (B2).
-		if !expand.AnalyzeWords(sc.Args).SafeToExpandEarly() {
-			return nil, cost.Inputs{}, "", false
 		}
 		if staticOnly {
 			for _, w := range sc.Args {
 				if !w.IsStatic() {
-					return nil, cost.Inputs{}, "", false
+					return nil, cost.Inputs{}, false
 				}
 			}
 		}
 		fields, err := x.ExpandWords(sc.Args)
 		if err != nil || len(fields) == 0 {
-			return nil, cost.Inputs{}, "", false
+			return nil, cost.Inputs{}, false
+		}
+		// A shell function shadowing a library command is what the
+		// interpreter runs. Never memoized: unset -f re-admits the
+		// pipeline.
+		if _, shadowed := in.Funcs[fields[0]]; shadowed {
+			return nil, cost.Inputs{}, false
 		}
 		argvs = append(argvs, fields)
 	}
 	graph, err := dfg.FromPipeline(argvs, s.Lib, binding)
 	if err != nil {
-		return nil, cost.Inputs{}, "", false
+		return nil, cost.Inputs{}, false
 	}
 	// Runtime probing: every file source must exist and have a known
 	// size; a terminal-stdin source has unknown volume, so fall back.
 	dir := in.Dir
 	for _, src := range graph.Sources() {
 		if src.Path == "" {
-			return nil, cost.Inputs{}, "", false
+			return nil, cost.Inputs{}, false
 		}
 		if !s.FS.Exists(absPath(dir, src.Path)) {
-			return nil, cost.Inputs{}, "", false
+			return nil, cost.Inputs{}, false
 		}
 	}
 	facts := cost.Inputs{
@@ -841,7 +1002,7 @@ func (s *Shell) analyze(in *interp.Interp, st *syntax.Stmt, staticOnly bool) (*d
 			return s.FS.DeviceFor(absPath(dir, p))
 		},
 	}
-	return graph, facts, text, true
+	return graph, facts, true
 }
 
 // safeExpander returns the invoking interpreter's expander with command
@@ -862,17 +1023,6 @@ func safeExpander(in *interp.Interp) *expand.Expander {
 		Dir:    in.Dir,
 		NoGlob: in.NoGlob,
 	}
-}
-
-func safeString(x *expand.Expander, w *syntax.Word) (string, bool) {
-	if !expand.AnalyzeWord(w).SafeToExpandEarly() {
-		return "", false
-	}
-	v, err := x.ExpandString(w)
-	if err != nil {
-		return "", false
-	}
-	return v, true
 }
 
 func absPath(dir, p string) string {

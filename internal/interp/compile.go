@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"jash/internal/coreutils"
 	"jash/internal/expand"
@@ -33,9 +34,34 @@ type compiled func(in *Interp)
 // progCache memoizes compiled fragments per AST node. AST nodes are
 // immutable after parse and pipeline stages execute on goroutine clones
 // sharing the cache, so a concurrent write-once map is the right shape.
+//
+// eval and line-oriented drivers parse fresh nodes on every run, so the
+// cache is emptied once it holds progCacheLimit entries. A compiled
+// fragment is a pure function of its node: a reset only costs the
+// recompiles, never a behaviour change.
 type progCache struct {
 	stmts sync.Map // *syntax.Stmt   -> compiled
 	cmds  sync.Map // syntax.Command -> compiled (function bodies)
+	n     atomic.Int64
+}
+
+// progCacheLimit is far above the statement count of a script's loop and
+// function bodies, which therefore stay compiled.
+const progCacheLimit = 4096
+
+// store caches a fragment, emptying both maps first when the cache is
+// full. Concurrent stores may overshoot the count by a few entries.
+func (c *progCache) store(m *sync.Map, key any, fn compiled) {
+	if c.n.Add(1) > progCacheLimit {
+		c.n.Store(1)
+		for _, old := range []*sync.Map{&c.stmts, &c.cmds} {
+			old.Range(func(k, _ any) bool {
+				old.Delete(k)
+				return true
+			})
+		}
+	}
+	m.Store(key, fn)
 }
 
 // prog returns the interpreter's compilation cache, creating it on first
@@ -55,7 +81,7 @@ func (in *Interp) compiledStmt(st *syntax.Stmt) compiled {
 		return v.(compiled)
 	}
 	fn := compileStmt(st)
-	cache.stmts.Store(st, fn)
+	cache.store(&cache.stmts, st, fn)
 	return fn
 }
 
@@ -67,7 +93,7 @@ func (in *Interp) compiledCommand(cmd syntax.Command) compiled {
 		return v.(compiled)
 	}
 	fn := compileCommand(cmd)
-	cache.cmds.Store(cmd, fn)
+	cache.store(&cache.cmds, cmd, fn)
 	return fn
 }
 

@@ -240,8 +240,9 @@ const (
 
 // JashPlan is the resource-aware JIT plan: estimate the sequential graph
 // and streaming-parallel candidates at widths 2, 4, ..., cores on the
-// live profile (including current burst-credit state), and adopt the
-// cheapest plan only if it beats sequential by noRegressionDelta.
+// profile (including its current burst-credit state), and adopt the
+// cheapest plan only if it beats sequential by noRegressionDelta. The
+// estimates are what-ifs: they never settle the profile's credits.
 func JashPlan(g *dfg.Graph, in cost.Inputs, prof *cost.Profile) (*dfg.Graph, Decision, error) {
 	seqGraph := g.Clone()
 	RemoveUselessCat(seqGraph)
@@ -249,6 +250,24 @@ func JashPlan(g *dfg.Graph, in cost.Inputs, prof *cost.Profile) (*dfg.Graph, Dec
 	if err != nil {
 		return nil, Decision{}, err
 	}
+	if seqEst.Seconds < minGainSeconds {
+		// No parallel plan can save minGainSeconds off a shorter run, so
+		// the width search could only end in the same refusal.
+		return seqGraph, Decision{
+			Strategy:           "jash-jit",
+			Width:              1,
+			Estimate:           seqEst,
+			SequentialEstimate: seqEst,
+			Reason: fmt.Sprintf("keep sequential: sequential estimate %.2fs is under the %.2fs minimum gain",
+				seqEst.Seconds, minGainSeconds),
+		}, nil
+	}
+	return searchWidths(g, seqGraph, seqEst, in, prof)
+}
+
+// searchWidths is JashPlan's width search and adoption rule, given the
+// sequential graph and its estimate.
+func searchWidths(g, seqGraph *dfg.Graph, seqEst cost.Estimate, in cost.Inputs, prof *cost.Profile) (*dfg.Graph, Decision, error) {
 	best := seqGraph
 	bestEst := seqEst
 	bestWidth := 1
